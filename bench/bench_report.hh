@@ -32,7 +32,7 @@ struct BenchRow
     /// RSS high-water mark attributed to this row (bytes; 0 when
     /// unavailable). perf_main resets the kernel's VmHWM counter
     /// between rows, so each value bounds that row's own footprint —
-    /// the statistic tools/benchdiff gates memory regressions on.
+    /// the statistic `dnasim bench diff` gates memory regressions on.
     uint64_t rss_high_water_bytes = 0;
 };
 

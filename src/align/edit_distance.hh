@@ -65,51 +65,27 @@ struct EditOp
 };
 
 /**
- * Plain Levenshtein distance (unit costs).
- *
- * Dispatches to the Myers bit-parallel kernel (64 DP cells per word)
- * for typical strand lengths, and to the adaptive banded scalar DP
- * for very long inputs where the band (proportional to the true
- * distance) is narrower than the bit-parallel column.
+ * Plain Levenshtein distance (unit costs): the Myers bit-parallel
+ * kernel of MyersPattern, with the shorter string as the pattern.
+ * Exact at every length; both strings must be ACGT.
  */
 size_t levenshtein(std::string_view a, std::string_view b);
 
 /**
- * Myers (1999) bit-parallel Levenshtein distance: the DP column is
- * packed into ceil(min_len/64) machine words and advanced one text
- * character at a time. Exact for all inputs; fastest when the
- * shorter string fits few words. Exposed for tests and benches —
- * call levenshtein() in normal code.
- */
-size_t levenshteinBitParallel(std::string_view a, std::string_view b);
-
-/**
- * Banded scalar Levenshtein: only cells with |i - j| <= band are
- * computed. The result equals the true distance whenever the true
- * distance is at most @p band (any optimal path then stays inside
- * the band); otherwise it is an overestimate the caller must
- * reject. Exposed for tests and benches — call levenshtein() in
- * normal code.
- */
-size_t levenshteinBanded(std::string_view a, std::string_view b,
-                         size_t band);
-
-/**
  * A Myers bit-parallel pattern with precomputed match tables.
  *
- * The free levenshtein* functions rebuild the per-character match
- * bit-vectors (Peq) on every call. When one string is compared
- * against many others — a cluster representative probed by thousands
- * of reads, a consensus estimate scored against every copy — the
- * tables can be built once and reused. A MyersPattern owns the Peq
- * rows for the four bases (built from a character strand or directly
- * from a PackedStrand's 2-bit words) and answers distance queries
- * against arbitrary texts with zero per-call allocation.
+ * levenshtein() rebuilds the per-base match bit-vectors (Peq) on
+ * every call. When one string is compared against many others — a
+ * cluster representative probed by thousands of reads, a consensus
+ * estimate scored against every copy — the tables can be built once
+ * and reused. A MyersPattern owns the Peq rows for the four bases
+ * (built from a character strand or directly from a PackedStrand's
+ * 2-bit words) and answers distance queries with zero per-call
+ * allocation.
  *
- * Distances are exact and identical to levenshtein() for all
- * inputs. Patterns containing non-ACGT characters fall back to the
- * generic kernel (and are flagged in the align.char_fallback
- * counter); texts may contain arbitrary characters either way.
+ * Distances are exact. The pattern must be ACGT (asserted while
+ * its tables are built, see base/dna.hh); a text character outside
+ * ACGT reads an all-zero match row and so matches nothing.
  */
 class MyersPattern
 {
@@ -133,9 +109,6 @@ class MyersPattern
     /** Pattern length in bases. */
     size_t size() const { return m_; }
 
-    /** False when the pattern required the non-ACGT fallback. */
-    bool packed() const { return fallback_.empty(); }
-
     /** Exact Levenshtein distance between the pattern and @p text. */
     size_t distance(std::string_view text) const;
 
@@ -154,16 +127,11 @@ class MyersPattern
     /// Peq rows across SIMD lanes instead of rebuilding them.
     friend struct align_detail::PatternAccess;
 
-    void build(std::string_view pattern);
-    size_t run(std::string_view text, size_t limit) const;
-
     size_t m_ = 0;
     size_t blocks_ = 0;
     /// Peq rows, kNumBases * blocks_: match bits of pattern slice b
     /// for base code c live at peq_[c * blocks_ + b].
     std::vector<uint64_t> peq_;
-    /// Pattern copy, only set for non-ACGT patterns (generic path).
-    std::string fallback_;
 };
 
 /**

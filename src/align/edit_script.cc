@@ -176,8 +176,8 @@ editOpsBitVector(const MyersPattern &pattern, std::string_view ref,
                  std::string_view copy, std::vector<EditOp> &out)
 {
     const size_t n = ref.size(), m = copy.size();
-    DNASIM_ASSERT(pattern.packed() && pattern.size() == n,
-                  "bit-vector tier needs a packed pattern over ref");
+    DNASIM_ASSERT(pattern.size() == n,
+                  "bit-vector tier needs a pattern over ref");
     DNASIM_ASSERT(n > 0 && m > 0, "empty strands are trivial scripts");
 
     const size_t blocks = PatternAccess::blocks(pattern);
@@ -202,8 +202,9 @@ editOpsBitVector(const MyersPattern &pattern, std::string_view ref,
     for (size_t j = 1; j <= m; ++j) {
         const uint8_t code =
             kCharToCode[static_cast<unsigned char>(copy[j - 1])];
-        const uint64_t *eq_row =
-            code != kInvalidCode ? &peq[code * blocks] : nullptr;
+        DNASIM_ASSERT(code != kInvalidCode,
+                      "non-ACGT character in an edit-script copy");
+        const uint64_t *eq_row = &peq[code * blocks];
         uint64_t *hp = &store[(j - 1) * stride];
         uint64_t *hn = hp + blocks;
         uint64_t *vp_out = hp + 2 * blocks;
@@ -214,7 +215,7 @@ editOpsBitVector(const MyersPattern &pattern, std::string_view ref,
             // edit_distance.cc), keeping the pre-shift horizontal
             // words instead of only the carry bit.
             uint64_t pvb = pv[b], mvb = mv[b];
-            uint64_t eq = eq_row != nullptr ? eq_row[b] : 0;
+            uint64_t eq = eq_row[b];
             const uint64_t hin_neg = hin < 0 ? 1u : 0u;
             const uint64_t xv = eq | mvb;
             eq |= hin_neg;
@@ -469,30 +470,21 @@ editOpsDispatch(const MyersPattern *pattern, std::string_view ref,
     }
 
     if (rng == nullptr) {
-        // Tier A. Non-ACGT references cannot feed the 4-row Peq
-        // tables; those pairs keep the flat DP.
+        // Tier A.
         if (pattern == nullptr) {
             thread_local MyersPattern local;
             local.assign(ref);
             pattern = &local;
-        }
-        if (!pattern->packed()) {
-            st.fallback.inc();
-            align_detail::editOpsReference(ref, copy, nullptr, out);
-            return;
         }
         st.bitvec.inc();
         align_detail::editOpsBitVector(*pattern, ref, copy, out);
         return;
     }
 
-    // Tier B: seed the band with the exact distance — reuse the
-    // caller's Peq tables when it has them; levenshtein() also
-    // serves non-ACGT content, which the banded fill compares
-    // bytewise just like the reference DP.
-    const size_t d = pattern != nullptr && pattern->packed()
-                         ? pattern->distance(copy)
-                         : levenshtein(ref, copy);
+    // Tier B: seed the band with the exact distance, reusing the
+    // caller's Peq tables when it has them.
+    const size_t d = pattern != nullptr ? pattern->distance(copy)
+                                        : levenshtein(ref, copy);
     size_t band = d;
     for (;;) {
         // Once the band row is as wide as a full row the flat DP is

@@ -100,9 +100,9 @@ void editOpsReference(std::string_view ref, std::string_view copy,
 
 /**
  * Tier A: deterministic bit-vector edit script. @p pattern must be
- * built from @p ref and be packed() (pure ACGT); both strands must
- * be non-empty. Produces exactly the script editOpsReference()
- * yields with a null Rng.
+ * built from @p ref; both strands must be ACGT and non-empty.
+ * Produces exactly the script editOpsReference() yields with a null
+ * Rng.
  */
 void editOpsBitVector(const MyersPattern &pattern,
                       std::string_view ref, std::string_view copy,

@@ -5,7 +5,6 @@
 #include <bit>
 #include <vector>
 
-#include "align/path_stats.hh"
 #include "base/logging.hh"
 #include "base/packed.hh"
 
@@ -27,55 +26,12 @@ struct GestaltScratch
     /// Match masks over the current b-subrange: bit (j - b_lo) of
     /// eq[c] is set iff b[j] has base code c.
     std::array<std::vector<uint64_t>, kNumBases> eq;
-    /// Suffix-run lengths for the current and previous row
-    /// (bit-parallel path). Stale entries are never read: prev[jj-1]
-    /// is consulted only when the previous row matched at jj-1, i.e.
-    /// when that cell was freshly written.
+    /// Suffix-run lengths for the current and previous row. Stale
+    /// entries are never read: prev[jj-1] is consulted only when the
+    /// previous row matched at jj-1, i.e. when that cell was freshly
+    /// written.
     std::vector<uint32_t> prev, cur;
-    /// Dense rows for the scalar fallback (non-ACGT content).
-    std::vector<size_t> sprev, scur;
 };
-
-/**
- * Scalar longest common substring of a[a_lo, a_hi) and b[b_lo, b_hi)
- * — the original character DP, kept as the exact fallback for
- * strings with non-ACGT content. Earliest occurrence on ties
- * (difflib semantics, modulo its junk heuristics, which do not apply
- * to a 4-letter alphabet).
- */
-MatchBlock
-longestMatchScalar(std::string_view a, std::string_view b, size_t a_lo,
-                   size_t a_hi, size_t b_lo, size_t b_hi,
-                   GestaltScratch &scratch)
-{
-    MatchBlock best{a_lo, b_lo, 0};
-    if (a_lo >= a_hi || b_lo >= b_hi)
-        return best;
-
-    // lengths[j]: length of the common suffix ending at (i, j).
-    auto &prev = scratch.sprev;
-    auto &cur = scratch.scur;
-    prev.assign(b_hi - b_lo + 1, 0);
-    cur.assign(b_hi - b_lo + 1, 0);
-    for (size_t i = a_lo; i < a_hi; ++i) {
-        for (size_t j = b_lo; j < b_hi; ++j) {
-            size_t jj = j - b_lo + 1;
-            if (a[i] == b[j]) {
-                cur[jj] = prev[jj - 1] + 1;
-                if (cur[jj] > best.len) {
-                    best.len = cur[jj];
-                    best.a_pos = i + 1 - cur[jj];
-                    best.b_pos = j + 1 - cur[jj];
-                }
-            } else {
-                cur[jj] = 0;
-            }
-        }
-        std::swap(prev, cur);
-        std::fill(cur.begin(), cur.end(), 0);
-    }
-    return best;
-}
 
 /**
  * Bit-parallel longest common substring for ACGT content.
@@ -88,7 +44,8 @@ longestMatchScalar(std::string_view a, std::string_view b, size_t a_lo,
  * the previous row's mask is set — so neither row is ever cleared.
  *
  * Traversal order (i ascending, j ascending, strictly-greater
- * updates) matches the scalar DP, so tie-breaking is identical.
+ * updates) matches the character DP, so tie-breaking is difflib's
+ * earliest occurrence.
  */
 MatchBlock
 longestMatchBits(std::string_view a, std::string_view b, size_t a_lo,
@@ -153,29 +110,16 @@ longestMatchBits(std::string_view a, std::string_view b, size_t a_lo,
 void
 recurse(std::string_view a, std::string_view b, size_t a_lo, size_t a_hi,
         size_t b_lo, size_t b_hi, std::vector<MatchBlock> &out,
-        GestaltScratch &scratch, bool use_bits)
+        GestaltScratch &scratch)
 {
     MatchBlock m =
-        use_bits
-            ? longestMatchBits(a, b, a_lo, a_hi, b_lo, b_hi, scratch)
-            : longestMatchScalar(a, b, a_lo, a_hi, b_lo, b_hi,
-                                 scratch);
+        longestMatchBits(a, b, a_lo, a_hi, b_lo, b_hi, scratch);
     if (m.len == 0)
         return;
-    recurse(a, b, a_lo, m.a_pos, b_lo, m.b_pos, out, scratch,
-            use_bits);
+    recurse(a, b, a_lo, m.a_pos, b_lo, m.b_pos, out, scratch);
     out.push_back(m);
     recurse(a, b, m.a_pos + m.len, a_hi, m.b_pos + m.len, b_hi, out,
-            scratch, use_bits);
-}
-
-bool
-allBases(std::string_view s)
-{
-    for (char c : s)
-        if (kCharToCode[static_cast<unsigned char>(c)] == kInvalidCode)
-            return false;
-    return true;
+            scratch);
 }
 
 } // anonymous namespace
@@ -184,17 +128,12 @@ std::vector<MatchBlock>
 matchingBlocks(std::string_view a, std::string_view b)
 {
     thread_local GestaltScratch scratch;
-    auto &ps = align_detail::PathStats::get();
-    // Non-ACGT characters (e.g. N calls in real FASTQ data) fall
-    // back to the scalar DP for the whole pair: a stray character
-    // could legitimately match an identical stray character, which
-    // the 4-row masks cannot represent.
-    const bool use_bits = allBases(a) && allBases(b);
-    (use_bits ? ps.packed_fastpath : ps.char_fallback).inc();
+    // The 4-row match masks index by base code (base/dna.hh).
+    DNASIM_ASSERT(isValidStrand(a) && isValidStrand(b),
+                  "gestalt alignment of a non-ACGT strand");
 
     std::vector<MatchBlock> blocks;
-    recurse(a, b, 0, a.size(), 0, b.size(), blocks, scratch,
-            use_bits);
+    recurse(a, b, 0, a.size(), 0, b.size(), blocks, scratch);
     blocks.push_back({a.size(), b.size(), 0}); // terminating sentinel
     return blocks;
 }

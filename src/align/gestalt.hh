@@ -40,7 +40,8 @@ struct MatchBlock
  * Blocks are non-overlapping and strictly increasing in both
  * coordinates. A zero-length sentinel block at (|a|, |b|) terminates
  * the list (difflib-compatible), so the gaps after the last real
- * match are representable.
+ * match are representable. Both strings must be ACGT (asserted; see
+ * base/dna.hh).
  */
 std::vector<MatchBlock> matchingBlocks(std::string_view a,
                                        std::string_view b);

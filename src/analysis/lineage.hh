@@ -146,7 +146,7 @@ struct LineageReport
 
     /// Clustering forensics (recluster mode only).
     std::vector<MisclusteredRead> misclustered;
-    std::array<uint64_t, 4> misclustered_by_tier{}; ///< by
+    std::array<uint64_t, 3> misclustered_by_tier{}; ///< by
                                                     ///< AssignmentTier
     double purity = 1.0;
 

@@ -5,6 +5,14 @@
  * A strand is represented as a std::string over the characters
  * 'A', 'C', 'G', 'T'. The Base enum gives a dense 0..3 index used by
  * probability tables (conditional error rates, confusion matrices).
+ *
+ * Alphabet invariant: every strand that reaches an alignment,
+ * clustering or consensus kernel is ACGT. The input boundaries
+ * enforce it (the evyat reader, pool ingest, 2-bit .dnapool files,
+ * checkpoint loaders) and every producer (channel, codec,
+ * StrandFactory, reconstructors) emits only kBaseChars, so the
+ * kernels assert it instead of carrying a second implementation
+ * (DESIGN.md "ACGT alphabet invariant").
  */
 
 #ifndef DNASIM_BASE_DNA_HH

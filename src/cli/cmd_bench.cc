@@ -7,10 +7,12 @@
  *       fold BENCH_*.json reports (files or directories) into the
  *       append-only JSONL ledger, deduplicating repeats
  *   bench diff <baseline> <candidate> [--threshold p] [--sigma k]
- *              [--mem-threshold p] [--mem-gate]
+ *              [--mem-threshold p] [--mem-gate] [--json] [--out FILE]
  *       compare two run sets with the noise-aware verdict; exits 2
- *       when a benchmark regressed (CI perf-gate contract). RSS
- *       high-water deltas are advisory unless --mem-gate.
+ *       when a benchmark regressed (CI perf-gate contract), 1 on a
+ *       usage or IO error. RSS high-water deltas are advisory unless
+ *       --mem-gate. --out also writes the dnasim.benchdiff.v1 JSON
+ *       report to FILE.
  *   bench list [--ledger FILE]
  *       print the per-key trajectory summary of a ledger
  *
@@ -24,6 +26,7 @@
 
 #include "base/logging.hh"
 #include "obs/history.hh"
+#include "obs/outfile.hh"
 
 namespace dnasim
 {
@@ -80,7 +83,8 @@ benchDiff(const Args &args)
     if (pos.size() != 4) {
         std::cerr << "usage: dnasim bench diff <baseline> "
                      "<candidate> [--threshold p] [--sigma k] "
-                     "[--mem-threshold p] [--mem-gate] [--json]\n";
+                     "[--mem-threshold p] [--mem-gate] [--json] "
+                     "[--out FILE]\n";
         return 1;
     }
     obs::DiffOptions options;
@@ -109,6 +113,14 @@ benchDiff(const Args &args)
         std::cout << obs::diffToJson(report, options);
     else
         std::cout << obs::diffToText(report, options);
+    std::string error;
+    if (args.has("out") &&
+        !obs::writeFileAtomic(args.get("out"),
+                              obs::diffToJson(report, options),
+                              &error)) {
+        warn("bench: ", error);
+        return 1;
+    }
     // 0 = clean, 2 = regression; 1 stays reserved for usage/IO
     // errors so CI can tell "slow" apart from "broken".
     return report.ok() ? 0 : 2;
@@ -149,6 +161,7 @@ cmdBench(const Args &args)
                  "perf comparison\n"
                  "       [--threshold p] [--sigma k] "
                  "[--mem-threshold p] [--mem-gate] [--json]\n"
+                 "       [--out FILE]\n"
                  "  list [--ledger FILE]                trajectory "
                  "summary per run key\n";
     return verb.empty() ? 1 : (verb == "help" ? 0 : 1);

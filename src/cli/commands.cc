@@ -83,20 +83,12 @@ makeModel(const std::string &name, const ErrorProfile &profile)
 
 /**
  * Clusterer settings shared by the cluster and roundtrip commands:
- * --cluster-index {greedy,sketch}, the probe bounds, and the sketch
- * tier's MinHash/LSH shape.
+ * the probe bounds and the sketch tier's MinHash/LSH shape.
  */
 ClusterOptions
 clusterOptionsFromArgs(const Args &args)
 {
     ClusterOptions options;
-    std::string index_name = args.get("cluster-index", "sketch");
-    auto kind = parseClusterIndex(index_name);
-    if (!kind) {
-        DNASIM_FATAL("unknown cluster index '", index_name,
-                     "'; expected greedy or sketch");
-    }
-    options.index = *kind;
     options.distance_threshold = static_cast<size_t>(args.getInt(
         "distance-threshold",
         static_cast<int64_t>(options.distance_threshold)));
@@ -259,15 +251,14 @@ writeClustersOut(const std::string &path,
 }
 
 void
-printClusterTable(const ClusterOptions &options, size_t num_reads,
-                  size_t num_clusters, const ClusterPurity *purity,
-                  double secs)
+printClusterTable(size_t num_reads, size_t num_clusters,
+                  const ClusterPurity *purity, double secs)
 {
     TextTable table("clustering");
     table.setHeader(
         {"index", "reads", "clusters", "purity%", "reads/s"});
     table.addRow(
-        {clusterIndexName(options.index), std::to_string(num_reads),
+        {"sketch", std::to_string(num_reads),
          std::to_string(num_clusters),
          purity != nullptr ? fmtPercent(purity->purity())
                            : std::string("-"),
@@ -382,7 +373,7 @@ clusterPool(const Args &args, const ClusterOptions &options,
             manifest.num_reads = view.size();
             manifest.num_clusters = clusters.size();
             manifest.config = {
-                {"index", clusterIndexName(options.index)},
+                {"index", "sketch"},
                 {"shards", std::to_string(shards)},
                 {"distance_threshold",
                  std::to_string(options.distance_threshold)},
@@ -413,8 +404,7 @@ clusterPool(const Args &args, const ClusterOptions &options,
     if (args.has("out"))
         writeClustersOut(args.get("out"), clusters);
 
-    printClusterTable(options, num_reads, clusters.size(), purity_ptr,
-                      secs);
+    printClusterTable(num_reads, clusters.size(), purity_ptr, secs);
     return 0;
 }
 
@@ -643,7 +633,6 @@ cmdCluster(const Args &args)
     if (args.positional().size() < 2 && !from_checkpoint) {
         DNASIM_FATAL("usage: dnasim cluster "
                      "<dataset.evyat|pool.dnapool> "
-                     "[--cluster-index sketch|greedy] "
                      "[--distance-threshold D] [--anchor-length A] "
                      "[--max-probes P] [--sketch-kmer K] "
                      "[--sketch-bands B] [--sketch-rows R] "
@@ -731,8 +720,8 @@ cmdCluster(const Args &args)
     if (args.has("out"))
         writeClustersOut(args.get("out"), clusters);
 
-    printClusterTable(options, purity.num_reads, purity.num_clusters,
-                      &purity, secs);
+    printClusterTable(purity.num_reads, purity.num_clusters, &purity,
+                      secs);
     return 0;
 }
 
@@ -780,7 +769,7 @@ cmdRoundtrip(const Args &args)
     LineageLog lineage;
     Dataset simulated;
     RetrievedObject result = pipeline.roundTrip(
-        file, channel, coverage, *algo, rng,
+        object, channel, coverage, *algo, rng,
         want_lineage ? &lineage : nullptr,
         want_lineage ? &simulated : nullptr);
     if (want_lineage) {
@@ -848,7 +837,6 @@ printUsage()
         "               census <dataset.evyat> [--buckets B]\n"
         "  cluster      re-cluster a read pool and score purity\n"
         "               <dataset.evyat|pool.dnapool>\n"
-        "               [--cluster-index sketch|greedy]\n"
         "               [--distance-threshold D] [--anchor-length A]\n"
         "               [--max-probes P] [--sketch-kmer K]\n"
         "               [--sketch-bands B] [--sketch-rows R]\n"
@@ -860,12 +848,12 @@ printUsage()
         "               back <file> [--coverage N] [--error-rate p]\n"
         "               [--algo iterative] [--recluster]\n"
         "               [--max-reads N]\n"
-        "               [--cluster-index sketch|greedy]\n"
         "               [--lineage-out lineage.jsonl]\n"
         "  bench        bench trajectory ledger and perf diffing\n"
         "               ingest <input>... [--ledger FILE]\n"
         "               diff <baseline> <candidate> [--threshold p]\n"
-        "               [--sigma k] [--json] (exit 2 on regression)\n"
+        "               [--sigma k] [--json] [--out FILE]\n"
+        "               (exit 2 on regression)\n"
         "               list [--ledger FILE]\n"
         "  watch        tail a telemetry JSONL stream and render\n"
         "               rates <telemetry.jsonl> [--follow]\n"

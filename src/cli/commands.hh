@@ -27,7 +27,7 @@ makeReconstructor(const std::string &name);
 std::unique_ptr<ErrorModel> makeModel(const std::string &name,
                                       const ErrorProfile &profile);
 
-/** Shared --cluster-index/--distance-threshold/--sketch-* parsing. */
+/** Shared --distance-threshold/--max-probes/--sketch-* parsing. */
 ClusterOptions clusterOptionsFromArgs(const Args &args);
 
 /**

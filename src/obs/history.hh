@@ -12,9 +12,9 @@
  * stddev), so single noisy repeats don't flag and genuinely quiet
  * benchmarks still trip on small real regressions.
  *
- * Consumed by `dnasim bench {ingest,diff,list}`, the standalone
- * tools/benchdiff binary, and the CI perf gate (which diffs
- * quick-mode perf_* runs against bench/baselines/).
+ * Consumed by `dnasim bench {ingest,diff,list}`; the CI perf gate
+ * runs `dnasim bench diff` over quick-mode perf_* runs against
+ * bench/baselines/.
  */
 
 #ifndef DNASIM_OBS_HISTORY_HH

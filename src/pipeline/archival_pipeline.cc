@@ -369,7 +369,18 @@ ArchivalPipeline::roundTrip(const Bytes &file, const ErrorModel &model,
                             LineageLog *lineage,
                             Dataset *simulated) const
 {
-    StoredObject object = store(file);
+    return roundTrip(store(file), model, coverage, algo, rng, lineage,
+                     simulated);
+}
+
+RetrievedObject
+ArchivalPipeline::roundTrip(const StoredObject &object,
+                            const ErrorModel &model,
+                            const CoverageModel &coverage,
+                            const Reconstructor &algo, Rng &rng,
+                            LineageLog *lineage,
+                            Dataset *simulated) const
+{
     ChannelSimulator sim(model);
     Rng channel_rng = rng.fork(0xc4a);
     Dataset clusters =

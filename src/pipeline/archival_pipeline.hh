@@ -80,6 +80,8 @@ struct RetrievalStats
     size_t crc_failures = 0;
     size_t frames_recovered = 0;    ///< via logical redundancy
     size_t stripes_failed = 0;      ///< redundancy exceeded
+
+    bool operator==(const RetrievalStats &) const = default;
 };
 
 /** A stored object: the strand library plus its directory entry. */
@@ -97,6 +99,8 @@ struct RetrievedObject
     Bytes data;
     bool success = false;
     RetrievalStats stats;
+
+    bool operator==(const RetrievedObject &) const = default;
 };
 
 /** The archival pipeline. */
@@ -137,6 +141,19 @@ class ArchivalPipeline
      * retrieval — the decoded bytes are identical either way.
      */
     RetrievedObject roundTrip(const Bytes &file,
+                              const ErrorModel &model,
+                              const CoverageModel &coverage,
+                              const Reconstructor &algo, Rng &rng,
+                              LineageLog *lineage = nullptr,
+                              Dataset *simulated = nullptr) const;
+
+    /**
+     * roundTrip() of an object store() has already encoded: the
+     * same transmission and retrieval, without encoding the file a
+     * second time. store() draws no randomness, so the result equals
+     * roundTrip(file, ...) for the file @p object was stored from.
+     */
+    RetrievedObject roundTrip(const StoredObject &object,
                               const ErrorModel &model,
                               const CoverageModel &coverage,
                               const Reconstructor &algo, Rng &rng,

@@ -5,7 +5,6 @@
 
 #include "align/edit_distance.hh"
 #include "align/myers_batch.hh"
-#include "align/path_stats.hh"
 #include "base/logging.hh"
 #include "base/packed.hh"
 
@@ -52,14 +51,10 @@ namespace
  * per-column integer counters, 32 columns per word load. The
  * per-column winner logic mirrors BaseVote::winner exactly —
  * including the order of tie candidates and when the Rng is
- * consumed — so the result is bit-identical to the character path
+ * consumed — so the result is bit-identical to the weighted path
  * (unit weights are exact in both integer and double arithmetic).
- *
- * Returns false (leaving @p out untouched and the Rng unconsumed)
- * when a copy contains a non-ACGT character; the caller then runs
- * the generic weighted path.
  */
-bool
+void
 packedPlurality(std::span<const Strand> copies, size_t design_len,
                 Rng &rng, Strand &out)
 {
@@ -69,8 +64,8 @@ packedPlurality(std::span<const Strand> copies, size_t design_len,
 
     for (const Strand &copy : copies) {
         size_t plen = 0;
-        if (!packWordsInto(copy, design_len, packed, &plen))
-            return false;
+        const bool ok = packWordsInto(copy, design_len, packed, &plen);
+        DNASIM_ASSERT(ok, "non-ACGT character in a consensus copy");
         size_t pos = 0;
         for (size_t w = 0; w < packed.size(); ++w) {
             uint64_t word = packed[w];
@@ -105,7 +100,6 @@ packedPlurality(std::span<const Strand> copies, size_t design_len,
             num_best == 1 ? tied[0] : tied[rng.index(num_best)];
         out.push_back(kBaseChars[pick]);
     }
-    return true;
 }
 
 } // anonymous namespace
@@ -116,15 +110,11 @@ positionalPlurality(std::span<const Strand> copies, size_t design_len,
 {
     DNASIM_ASSERT(weights.empty() || weights.size() == copies.size(),
                   "weight/copy count mismatch");
-    auto &ps = align_detail::PathStats::get();
     Strand out;
-    if (weights.empty() &&
-        packedPlurality(copies, design_len, rng, out)) {
-        ps.packed_fastpath.inc();
+    if (weights.empty()) {
+        packedPlurality(copies, design_len, rng, out);
         return out;
     }
-    ps.char_fallback.inc();
-    out.clear();
     out.reserve(design_len);
     BaseVote vote;
     for (size_t pos = 0; pos < design_len; ++pos) {

@@ -126,61 +126,14 @@ fullMatrixDp(std::string_view a, std::string_view b)
 
 } // anonymous namespace
 
-TEST(LevenshteinBanded, BandZeroIsDiagonalOnly)
-{
-    // Band 0 admits only the main diagonal: exact for equal-length
-    // substitution-only pairs, an overestimate otherwise.
-    EXPECT_EQ(levenshteinBanded("ACGT", "ACGT", 0), 0u);
-    EXPECT_EQ(levenshteinBanded("ACGT", "AGGT", 0), 1u);
-    EXPECT_EQ(levenshteinBanded("AAAA", "TTTT", 0), 4u);
-    // An indel forces the path off the diagonal; the result may be
-    // an overestimate but must stay >= the true distance and > band.
-    size_t d = levenshteinBanded("ACGT", "ACG", 0);
-    EXPECT_GE(d, 1u);
-    EXPECT_GT(d, 0u);
-}
-
-TEST(LevenshteinBanded, EmptyStrings)
-{
-    EXPECT_EQ(levenshteinBanded("", "", 0), 0u);
-    EXPECT_EQ(levenshteinBanded("", "", 10), 0u);
-    // One side empty: the true distance is the other's length, which
-    // lies outside a narrow band — certified only once band >= len.
-    EXPECT_EQ(levenshteinBanded("", "ACGT", 4), 4u);
-    EXPECT_EQ(levenshteinBanded("ACGT", "", 4), 4u);
-    EXPECT_GE(levenshteinBanded("", "ACGT", 2), 4u);
-    EXPECT_GE(levenshteinBanded("ACGT", "", 2), 4u);
-}
-
-TEST(LevenshteinBanded, OverestimateNeverUnderestimates)
-{
-    // The banded result is exact when <= band; otherwise it may
-    // overestimate but must never undercut the true distance (the
-    // widening loop in levenshtein() relies on exactly this).
-    StrandFactory factory;
-    Rng rng(41);
-    for (int trial = 0; trial < 40; ++trial) {
-        Strand a = factory.make(10 + rng.index(60), rng);
-        Strand b = factory.make(10 + rng.index(60), rng);
-        size_t truth = fullMatrixDp(a, b);
-        for (size_t band : {size_t{0}, size_t{2}, size_t{5},
-                            size_t{12}, size_t{200}}) {
-            size_t d = levenshteinBanded(a, b, band);
-            EXPECT_GE(d, truth) << "band " << band;
-            if (d <= band || truth <= band) {
-                EXPECT_EQ(d, truth) << "band " << band;
-            }
-        }
-    }
-}
-
 TEST(LevenshteinBitParallel, MatchesFullDpAtWordBoundaries)
 {
-    // The Myers kernel switches from one 64-bit word to the blocked
-    // variant at pattern length 65; lengths straddling every word
-    // boundary must agree with the textbook DP. Strands are drawn
-    // base-by-base (StrandFactory's GC constraints cannot be met at
-    // tiny lengths).
+    // The Myers kernel behind levenshtein() switches from one 64-bit
+    // word to the blocked loop at pattern length 65; lengths
+    // straddling every word boundary, and one pair beyond the 4096
+    // bases where a banded scalar DP used to take over, must agree
+    // with the textbook DP. Strands are drawn base-by-base
+    // (StrandFactory's GC constraints cannot be met at tiny lengths).
     Rng rng(42);
     auto make = [&](size_t len) {
         Strand s;
@@ -196,40 +149,26 @@ TEST(LevenshteinBitParallel, MatchesFullDpAtWordBoundaries)
         for (int trial = 0; trial < 10; ++trial) {
             Strand a = make(len);
             Strand b = channel.transmit(a, rng);
-            EXPECT_EQ(levenshteinBitParallel(a, b),
-                      fullMatrixDp(a, b))
+            EXPECT_EQ(levenshtein(a, b), fullMatrixDp(a, b))
                 << "similar pair, len " << len;
             Strand c = make(1 + rng.index(2 * len));
-            EXPECT_EQ(levenshteinBitParallel(a, c),
-                      fullMatrixDp(a, c))
+            EXPECT_EQ(levenshtein(a, c), fullMatrixDp(a, c))
                 << "dissimilar pair, len " << len;
         }
     }
+    Strand a = make(5000);
+    Strand b = IdsChannelModel::naive(ErrorProfile::uniform(0.08, 5000))
+                   .transmit(a, rng);
+    EXPECT_EQ(levenshtein(a, b), fullMatrixDp(a, b)) << "len 5000";
 }
 
 TEST(LevenshteinBitParallel, EmptyAndDegenerate)
 {
-    EXPECT_EQ(levenshteinBitParallel("", ""), 0u);
-    EXPECT_EQ(levenshteinBitParallel("", "ACGT"), 4u);
-    EXPECT_EQ(levenshteinBitParallel("ACGT", ""), 4u);
-    EXPECT_EQ(levenshteinBitParallel("A", "A"), 0u);
-    EXPECT_EQ(levenshteinBitParallel("A", "T"), 1u);
-}
-
-TEST(LevenshteinBitParallel, ArbitraryBytes)
-{
-    // The peq tables index by unsigned char; the kernel must handle
-    // the full byte range, not just ACGT.
-    Rng rng(43);
-    for (int trial = 0; trial < 30; ++trial) {
-        std::string a, b;
-        size_t la = 1 + rng.index(130), lb = 1 + rng.index(130);
-        for (size_t i = 0; i < la; ++i)
-            a.push_back(static_cast<char>(rng.index(256)));
-        for (size_t i = 0; i < lb; ++i)
-            b.push_back(static_cast<char>(rng.index(256)));
-        EXPECT_EQ(levenshteinBitParallel(a, b), fullMatrixDp(a, b));
-    }
+    EXPECT_EQ(levenshtein("", ""), 0u);
+    EXPECT_EQ(levenshtein("", "ACGT"), 4u);
+    EXPECT_EQ(levenshtein("ACGT", ""), 4u);
+    EXPECT_EQ(levenshtein("A", "A"), 0u);
+    EXPECT_EQ(levenshtein("A", "T"), 1u);
 }
 
 TEST(EditOps, EqualStringsAllEqualOps)
@@ -398,11 +337,22 @@ TEST(EditOpTypeName, AllNamed)
 
 TEST(Gestalt, PaperWikiExample)
 {
-    // Fig 3.1: WIKIMEDIA vs WIKIMANIA — matched blocks WIKIM?, IA...
-    // Km = |WIKIM| + |IA| + |A between? | — difflib yields ratio
-    // 2*7/18.
-    double score = gestaltScore("WIKIMEDIA", "WIKIMANIA");
+    // Fig 3.1: WIKIMEDIA vs WIKIMANIA matches WIKIM and IA, so
+    // difflib yields ratio 2*7/18. Spelled in bases with the same
+    // block structure (5-base prefix, 2-base mismatch, 2-base
+    // suffix), since the kernels take ACGT strands only.
+    const std::vector<MatchBlock> expected = {
+        {0, 0, 5}, {7, 7, 2}, {9, 9, 0}};
+    EXPECT_EQ(matchingBlocks("ACGTACCGT", "ACGTAAAGT"), expected);
+    double score = gestaltScore("ACGTACCGT", "ACGTAAAGT");
     EXPECT_NEAR(score, 2.0 * 7.0 / 18.0, 1e-9);
+}
+
+TEST(Gestalt, NonAcgtStrandAsserts)
+{
+    // The 4-row match masks cannot represent a stray character
+    // matching itself; past the input boundaries none can arrive.
+    EXPECT_DEATH(matchingBlocks("ANNA", "ANNA"), "non-ACGT");
 }
 
 TEST(Gestalt, ScoreBounds)
@@ -674,17 +624,6 @@ TEST(GestaltBitParallel, MatchesReferenceOnTieHeavyStrands)
         Strand b = factory.make(len, rng);
         EXPECT_EQ(matchingBlocks(a, b), referenceBlocks(a, b));
     }
-}
-
-TEST(GestaltBitParallel, NonAcgtContentUsesScalarFallback)
-{
-    // N calls must still match each other (the 4-row masks cannot
-    // express that, so the whole pair drops to the scalar DP).
-    EXPECT_EQ(matchingBlocks("ANNA", "ANNA"),
-              referenceBlocks("ANNA", "ANNA"));
-    EXPECT_EQ(gestaltScore("ANNA", "ANNA"), 1.0);
-    EXPECT_EQ(matchingBlocks("ACGN", "NACG"),
-              referenceBlocks("ACGN", "NACG"));
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include "cli/args.hh"
 #include "cli/commands.hh"
 #include "data/io.hh"
+#include "obs/stats.hh"
 
 namespace dnasim
 {
@@ -233,13 +234,49 @@ TEST_F(CliCommands, RoundtripStoresAndRetrieves)
     }
     Args rt = makeArgs({"roundtrip", payload, "--coverage", "6",
                         "--error-rate", "0.03"});
+    // The file is encoded once; the round trip reuses that object.
+    obs::Timer &stores =
+        obs::Registry::global().timer("pipeline.store_time");
+    const uint64_t stores_before = stores.count();
     EXPECT_EQ(cmdRoundtrip(rt), 0);
+    EXPECT_EQ(stores.count() - stores_before, 1u);
 }
 
 TEST_F(CliCommands, RoundtripMissingFileIsFatal)
 {
     Args rt = makeArgs({"roundtrip", "/nonexistent/file.bin"});
     EXPECT_THROW(cmdRoundtrip(rt), FatalError);
+}
+
+TEST_F(CliCommands, BenchDiffWritesJsonReport)
+{
+    auto write_report = [&](const std::string &name, double ns) {
+        const std::string path = tmpPath(name);
+        cleanup_.push_back(path);
+        std::ofstream out(path);
+        out << "{\"schema\":\"dnasim.bench.v1\",\"name\":\"perf_x\","
+               "\"git_rev\":\"abc1234\",\"seed\":1,"
+               "\"benchmarks\":[{\"name\":\"BM_Main\","
+               "\"real_time_ns\":"
+            << ns << ",\"iterations\":100}]}";
+        return path;
+    };
+    const std::string base = write_report("BENCH_base.json", 100.0);
+    const std::string slow = write_report("BENCH_slow.json", 200.0);
+    const std::string report = tmpPath("benchdiff.json");
+    cleanup_.push_back(report);
+
+    EXPECT_EQ(cmdBench(makeArgs({"bench", "diff", base, base, "--out",
+                                 report})),
+              0);
+    std::ifstream in(report);
+    std::string json((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    EXPECT_NE(json.find("dnasim.benchdiff.v1"), std::string::npos);
+    EXPECT_EQ(cmdBench(makeArgs({"bench", "diff", base, slow})), 2);
+    EXPECT_THROW(cmdBench(makeArgs({"bench", "diff", base, slow,
+                                    "--threshold", "5%"})),
+                 FatalError);
 }
 
 TEST_F(CliCommands, MissingPositionalIsFatal)

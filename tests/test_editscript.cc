@@ -5,8 +5,8 @@
  * reference flat DP — identical scripts in deterministic mode,
  * identical scripts AND identical Rng consumption in random
  * tie-break mode — plus the edge cases the tiers special-case
- * (empty strands, word-boundary lengths, band escapes, non-ACGT
- * fallbacks, engine selection).
+ * (empty strands, word-boundary lengths, band escapes, engine
+ * selection).
  */
 
 #include <gtest/gtest.h>
@@ -250,24 +250,6 @@ TEST(EditScript, BandWiderThanDistanceStillExact)
         EXPECT_EQ(out, refScript(ref, copy, &b)) << "band " << band;
         EXPECT_TRUE(a.engine() == b.engine()) << "band " << band;
     }
-}
-
-TEST(EditScript, NonAcgtFallsBackToReference)
-{
-    // 'N's in either strand must not break equivalence: the engine
-    // routes non-ACGT references to the flat DP and lets Tier A
-    // handle non-ACGT copies via all-zero Peq rows.
-    const std::string ref = "ACGTNNACGTACGT";
-    const std::string copy = "ACGTNACGTACGGT";
-    EXPECT_EQ(engineScript(ref, copy, nullptr),
-              refScript(ref, copy, nullptr));
-    Rng a(3), b(3);
-    EXPECT_EQ(engineScript(ref, copy, &a), refScript(ref, copy, &b));
-    EXPECT_TRUE(a.engine() == b.engine());
-
-    const std::string clean_ref = "ACGTACGTACGTAC";
-    EXPECT_EQ(engineScript(clean_ref, copy, nullptr),
-              refScript(clean_ref, copy, nullptr));
 }
 
 TEST(EditScript, EngineSelection)

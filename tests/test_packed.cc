@@ -145,7 +145,6 @@ TEST(MyersPattern, MatchesLevenshteinAcrossLengths)
         const std::string pat = randomStrand(len, rng);
         MyersPattern pattern{std::string_view(pat)};
         EXPECT_EQ(pattern.size(), len);
-        EXPECT_TRUE(pattern.packed());
         // Reuse the same pattern across several texts — the cached
         // Peq tables must not carry state between queries.
         for (int trial = 0; trial < 4; ++trial) {
@@ -201,16 +200,18 @@ TEST(MyersPattern, BoundedIsExactWithinLimitAndConsistentAbove)
     }
 }
 
-TEST(MyersPattern, NonAcgtPatternFallsBack)
+TEST(MyersPattern, NonAcgtPatternAsserts)
 {
-    MyersPattern pattern{std::string_view("ACGNACGT")};
-    EXPECT_FALSE(pattern.packed());
-    EXPECT_EQ(pattern.distance("ACGNACGT"), 0u);
-    EXPECT_EQ(pattern.distance("ACGTACGT"), 1u);
-    // Non-ACGT *text* stays on the fast path: those characters
-    // simply match nothing in an ACGT pattern.
+    // Strands are ACGT past every input boundary (base/dna.hh); a
+    // pattern that is not is a caller bug, caught while Peq is built.
+    EXPECT_DEATH(MyersPattern{std::string_view("ACGNACGT")},
+                 "non-ACGT");
+}
+
+TEST(MyersPattern, NonAcgtTextMatchesNothing)
+{
+    // A text character outside ACGT reads the all-zero match row.
     MyersPattern acgt{std::string_view("ACGT")};
-    EXPECT_TRUE(acgt.packed());
     EXPECT_EQ(acgt.distance("ANGT"), 1u);
     EXPECT_EQ(acgt.distance("NNNN"), 4u);
 }

@@ -90,6 +90,23 @@ TEST(Pipeline, NoisyChannelRoundTrip)
     EXPECT_EQ(result.data, file);
 }
 
+TEST(Pipeline, RoundTripOfStoredObjectMatchesRoundTripOfFile)
+{
+    ArchivalPipeline pipeline;
+    Bytes file = loremBytes(400);
+    IdsChannelModel model =
+        IdsChannelModel::naive(ErrorProfile::uniform(0.05, 110));
+    FixedCoverage coverage(5);
+    Iterative algo;
+    Rng a(162), b(162);
+    RetrievedObject from_file =
+        pipeline.roundTrip(file, model, coverage, algo, a);
+    RetrievedObject from_object = pipeline.roundTrip(
+        pipeline.store(file), model, coverage, algo, b);
+    EXPECT_EQ(from_object, from_file);
+    EXPECT_TRUE(a.engine() == b.engine());
+}
+
 TEST(Pipeline, ReedSolomonRecoversErasures)
 {
     PipelineConfig config;
